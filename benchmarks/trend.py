@@ -10,7 +10,7 @@ the records and this gate blocks silent slowdowns.
 Usage::
 
     PYTHONPATH=src python -m pytest benchmarks/test_substrate_perf.py -q
-    python benchmarks/trend.py substrate telemetry_overhead \
+    python benchmarks/trend.py substrate disabled_cost \
         --report trend-report.json
 
 With no names, every ``BENCH_*.json`` in the repo root is checked.
@@ -308,7 +308,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Fail when BENCH_<name>.json wall time regresses past "
                     "the budget vs the committed record.")
     parser.add_argument("names", nargs="*",
-                        help="record names (e.g. substrate telemetry_overhead); "
+                        help="record names (e.g. substrate disabled_cost); "
                              "default: every BENCH_*.json present")
     parser.add_argument("--root", type=Path, default=Path.cwd(),
                         help="repo root holding the BENCH files")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import sys
 import time
 from typing import Any, Callable, Optional
 
@@ -112,8 +113,8 @@ class Simulator:
         #: cost is one compare per schedule, off the dispatch hot loop.
         self.queue_hwm = 0
         # Profiling: when phase accounting is live, run()/run_until()
-        # dispatch through profiled twins that charge each event to a
-        # per-callback cell (one perf_counter_ns per event, timestamps
+        # dispatch through the profiled drain, which charges each event
+        # to a per-callback cell (one perf_counter_ns per event, timestamps
         # chained).  Disabled cost is this one binding.
         _prof = profiling.profiler()
         if _prof is not None:
@@ -246,7 +247,7 @@ class Simulator:
         if time_ns < self.now:
             raise ValueError(f"cannot run backwards to {time_ns} (now={self.now})")
         if self._prof is not None:
-            return self._run_until_profiled(time_ns)
+            return self._drain_profiled(time_ns, None)
         heap = self._heap
         heappop = heapq.heappop
         self._running = True
@@ -271,8 +272,36 @@ class Simulator:
         if self._flush_hooks:
             self._run_flush_hooks()
 
-    def _run_until_profiled(self, time_ns: int) -> None:
-        """run_until twin charging each event to its callback's phase cell.
+    def run(self, max_events: Optional[int] = None) -> None:
+        """Run until the event queue drains (or ``max_events`` fire)."""
+        if self._prof is not None:
+            return self._drain_profiled(None, max_events)
+        heap = self._heap
+        heappop = heapq.heappop
+        budget = max_events if max_events is not None else float("inf")
+        self._running = True
+        executed_before = self._events_run
+        try:
+            while heap and budget > 0:
+                t, _s, fn, args, handle = heappop(heap)
+                if handle is not None and handle.cancelled:
+                    continue
+                self.now = t
+                self._events_run += 1
+                budget -= 1
+                fn(*args)
+        finally:
+            self._running = False
+            if self._tel_events is not None:
+                self._tel_flush(executed_before)
+        if self._flush_hooks:
+            self._run_flush_hooks()
+
+    def _drain_profiled(self, time_ns: Optional[int],
+                        max_events: Optional[int]) -> None:
+        """The profiled drain behind both ``run_until`` (a time limit) and
+        ``run`` (an optional event budget), charging each event to its
+        callback's phase cell.
 
         Timestamps are chained — one ``perf_counter_ns`` per event covers
         both the previous event's end and the next one's start — and the
@@ -285,17 +314,21 @@ class Simulator:
         cells_get = prof._fn_cells.get
         heappop = heapq.heappop
         pcn = time.perf_counter_ns
+        # Int sentinels: int/float comparisons are slower per event.
+        limit = time_ns if time_ns is not None else sys.maxsize
+        budget = max_events if max_events is not None else sys.maxsize
         self._running = True
         executed_before = self._events_run
+        executed = 0
         t_prev = pcn()
         n_prev = prof.nested_ns
         try:
-            while heap and heap[0][0] <= time_ns:
+            while heap and heap[0][0] <= limit and executed < budget:
                 t, _s, fn, args, handle = heappop(heap)
                 if handle is not None and handle.cancelled:
                     continue
                 self.now = t
-                self._events_run += 1
+                executed += 1
                 fn(*args)
                 t_now = pcn()
                 # nested_ns grows monotonically (root frames and block
@@ -314,75 +347,12 @@ class Simulator:
                 t_prev = t_now
                 n_prev = n_now
         finally:
+            self._events_run += executed
             self._running = False
             if self._tel_events is not None:
                 self._tel_flush(executed_before)
-        self.now = time_ns
-        if self._flush_hooks:
-            self._run_flush_hooks()
-
-    def run(self, max_events: Optional[int] = None) -> None:
-        """Run until the event queue drains (or ``max_events`` fire)."""
-        if self._prof is not None:
-            return self._run_profiled(max_events)
-        heap = self._heap
-        heappop = heapq.heappop
-        budget = max_events if max_events is not None else float("inf")
-        self._running = True
-        executed_before = self._events_run
-        try:
-            while heap and budget > 0:
-                t, _s, fn, args, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                self.now = t
-                self._events_run += 1
-                budget -= 1
-                fn(*args)
-        finally:
-            self._running = False
-            if self._tel_events is not None:
-                self._tel_flush(executed_before)
-        if self._flush_hooks:
-            self._run_flush_hooks()
-
-    def _run_profiled(self, max_events: Optional[int] = None) -> None:
-        """run() twin with per-callback phase attribution (see
-        :meth:`_run_until_profiled` for the chained-timestamp scheme)."""
-        heap = self._heap
-        prof = self._prof
-        cells_get = prof._fn_cells.get
-        heappop = heapq.heappop
-        pcn = time.perf_counter_ns
-        budget = max_events if max_events is not None else float("inf")
-        self._running = True
-        executed_before = self._events_run
-        t_prev = pcn()
-        n_prev = prof.nested_ns
-        try:
-            while heap and budget > 0:
-                t, _s, fn, args, handle = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    continue
-                self.now = t
-                self._events_run += 1
-                budget -= 1
-                fn(*args)
-                t_now = pcn()
-                n_now = prof.nested_ns
-                cell = cells_get(fn)
-                if cell is None:
-                    cell = prof.dispatch_cell(fn, fn)
-                dt = t_now - t_prev
-                cell[0] += dt
-                cell[1] += dt - n_now + n_prev
-                cell[2] += 1
-                t_prev = t_now
-                n_prev = n_now
-        finally:
-            self._running = False
-            if self._tel_events is not None:
-                self._tel_flush(executed_before)
+        if time_ns is not None:
+            self.now = time_ns
         if self._flush_hooks:
             self._run_flush_hooks()
 

@@ -60,9 +60,6 @@ class P4Pipeline:
         self.egress: List[PipelineStage] = []
         self.packets_in = 0
         self.packets_dropped = 0
-        # Instrumentation is bound at construction: the winning process()
-        # body is bound directly below, so disabled modes cost nothing
-        # per packet.
         self._trace = provenance.tracer()
         _prof = profiling.profiler()
         self._prof = _prof if (_prof is not None and _prof.phases) else None
@@ -82,47 +79,33 @@ class P4Pipeline:
                 labels=("pipeline",)).labels(name)
             self._tel_parser = self._tel_stage_pkts.labels(name, "parser")
             self._tel_stage_cells: List = []
-        # Direct-body binding: process() IS the plain body; when
-        # instrumentation is on, the winning twin shadows it as an
-        # instance attribute.  Disabled thus pays zero per-packet
-        # guards and keeps plain class dispatch.  Tracing binds the
-        # per-packet dynamic dispatcher (its uid check decides traced
-        # vs untraced), and subclasses overriding process() keep
-        # their override.
+        # Direct-body binding: process() IS the plain body.  When any
+        # observer is live, construction shadows it with the one observed
+        # body as an instance attribute, so disabled runs pay zero
+        # per-packet guards and keep plain class dispatch.  Subclasses
+        # overriding process() keep their override.
         if self._prof is not None:
             self._proc_cell = self._prof.cell("p4.process")
-            self._prof_inner = (self._process_instrumented
-                                if self._tel_stage_pkts is not None
-                                else self._process_plain)
-        if self._prof is not None:
-            untraced = (self._process_profiled_stage
-                        if self._prof.detail_stage
-                        else self._process_profiled_block)
-        elif self._tel_stage_pkts is not None:
-            untraced = self._process_instrumented
-        else:
-            untraced = None  # plain body: keep class dispatch
-        self._untraced = untraced if untraced is not None else self._process_plain
-        if type(self).process is P4Pipeline.process:
-            if self._trace is not None:
-                self.process = self._process_dispatch
-            elif untraced is not None:
-                self.process = untraced
+        if (type(self).process is P4Pipeline.process
+                and (self._trace is not None or self._prof is not None
+                     or self._tel_stage_pkts is not None)):
+            self.process = self._process_observed
 
-    def _tel_stage(self, stage: PipelineStage):
-        cell = self._tel_stage_pkts.labels(self.name, stage.name)
-        self._tel_stage_cells.append(cell)
-        return cell
+    def _tel_restage(self) -> None:
+        # One counter cell per stage, in traversal order (ingress then
+        # egress), however the stages were added.
+        self._tel_stage_cells = [self._tel_stage_pkts.labels(self.name, s.name)
+                                 for s in self.ingress + self.egress]
 
     def add_ingress(self, stage: PipelineStage) -> None:
         self.ingress.append(stage)
         if self._tel_stage_pkts is not None:
-            self._tel_stage(stage)
+            self._tel_restage()
 
     def add_egress(self, stage: PipelineStage) -> None:
         self.egress.append(stage)
         if self._tel_stage_pkts is not None:
-            self._tel_stage(stage)
+            self._tel_restage()
 
     def process(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
         """Run one packet through parse → ingress → egress.
@@ -150,136 +133,47 @@ class P4Pipeline:
                 return None
         return hdr
 
-    _process_plain = process  # explicit-dispatch alias for the twins
-
-    def _process_dispatch(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Per-packet dispatch for tracing mode (bound only while the
-        tracer is live): traced packets carry a uid, the rest take the
-        untraced twin chosen at construction."""
-        if getattr(packet, "uid", None) is not None:
-            return self._process_traced(packet, meta)
-        return self._untraced(packet, meta)
-
-    def _process_instrumented(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Telemetry twin of :meth:`process`: per-stage packet/drop
-        counters plus a wall-clock latency histogram per packet."""
-        t0 = time.perf_counter_ns()
-        self.packets_in += 1
-        self._tel_parser.inc()
-        hdr = self.parser.parse(packet)
-        if hdr is None:
-            self.packets_dropped += 1
-            self._tel_stage_drops.labels(self.name, "parser").inc()
-            self._tel_latency.observe(time.perf_counter_ns() - t0)
-            return None
-        cells = self._tel_stage_cells
-        i = 0
-        for block in (self.ingress, self.egress):
-            for stage in block:
-                cells[i].inc()
-                i += 1
-                stage.process(hdr, meta)
-                if meta.drop:
-                    self.packets_dropped += 1
-                    self._tel_stage_drops.labels(self.name, stage.name).inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
-                    return None
-        self._tel_latency.observe(time.perf_counter_ns() - t0)
-        return hdr
-
-    def _process_profiled(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Profiling twin of :meth:`process`: ``block`` detail charges
-        one ``p4.process`` cell per packet (the ≤10 % always-on budget),
-        ``stage`` detail opens nested parser and per-stage frames
-        (diagnosis mode) — while still feeding the telemetry counters
-        when both are enabled."""
-        if self._prof.detail_stage:
-            return self._process_profiled_stage(packet, meta)
-        return self._process_profiled_block(packet, meta)
-
-    def _process_profiled_block(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        # Block detail never nests frames inside p4.process, and packets
-        # only flow under tap/switch engine events (never inside an open
-        # cp.extract/archiver frame), so the frame stack is skipped:
-        # two clock reads into the cached cell, self == cum, and
-        # nested_ns feeds the engine loop's self-time subtraction.
+    def _process_observed(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
+        """:meth:`process` with every live observer attached: telemetry
+        stage counters and a latency histogram; the phase profiler's
+        ``p4.process`` cell (block detail) or nested ``p4.parser`` and
+        ``p4.stage/<name>`` frames (stage detail); and the provenance
+        packet context, so the parser, stages and registers attribute
+        their events to a traced packet."""
         t0 = _pcn()
-        try:
-            return self._prof_inner(packet, meta)
-        finally:
-            dt = _pcn() - t0
-            cell = self._proc_cell
-            cell[0] += dt
-            cell[1] += dt
-            cell[2] += 1
-            self._prof.nested_ns += dt
-
-    def _process_profiled_stage(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
+        trace = self._trace
+        if trace is not None and getattr(packet, "uid", None) is not None:
+            trace.begin_packet(packet, meta.ingress_timestamp_ns)
+            rec = trace._ctx_rec
+        else:
+            trace = None
+            rec = False
         prof = self._prof
+        frames = prof if prof is not None and prof.detail_stage else None
         tel = self._tel_stage_pkts is not None
-        t0 = time.perf_counter_ns() if tel else 0
-        prof.begin("p4.process")
         try:
+            if not (tel or rec or frames is not None):
+                # Nothing watches the parser or the stages (block-detail
+                # profiling, unsampled traced packets): the plain body
+                # walks them.
+                return P4Pipeline.process(self, packet, meta)
+            if frames is not None:
+                frames.begin("p4.process")
             self.packets_in += 1
             if tel:
                 self._tel_parser.inc()
-            prof.begin("p4.parser")
+            if frames is not None:
+                frames.begin("p4.parser")
             try:
                 hdr = self.parser.parse(packet)
             finally:
-                prof.end()
+                if frames is not None:
+                    frames.end()
             if hdr is None:
                 self.packets_dropped += 1
                 if tel:
                     self._tel_stage_drops.labels(self.name, "parser").inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
-                return None
-            i = 0
-            for block in (self.ingress, self.egress):
-                for stage in block:
-                    if tel:
-                        self._tel_stage_cells[i].inc()
-                    i += 1
-                    prof.begin("p4.stage/" + stage.name)
-                    try:
-                        stage.process(hdr, meta)
-                    finally:
-                        prof.end()
-                    if meta.drop:
-                        self.packets_dropped += 1
-                        if tel:
-                            self._tel_stage_drops.labels(self.name, stage.name).inc()
-                            self._tel_latency.observe(time.perf_counter_ns() - t0)
-                        return None
-            if tel:
-                self._tel_latency.observe(time.perf_counter_ns() - t0)
-            return hdr
-        finally:
-            prof.end()
-
-    def _process_traced(self, packet, meta: StandardMetadata) -> Optional[ParsedHeaders]:
-        """Provenance twin of :meth:`process`: opens the packet context so
-        the parser, every stage, and the registers/sketches they touch
-        attribute their events to this packet — while still feeding the
-        telemetry counters when both subsystems are enabled."""
-        trace = self._trace
-        tel = self._tel_stage_pkts is not None
-        t0 = time.perf_counter_ns() if tel else 0
-        trace.begin_packet(packet, meta.ingress_timestamp_ns)
-        # Unsampled packets skip the per-stage event calls entirely — the
-        # coarse-only overhead budget in benchmarks/test_trace_overhead.py
-        # rides on this flag.
-        rec = trace._ctx_rec
-        try:
-            self.packets_in += 1
-            if tel:
-                self._tel_parser.inc()
-            hdr = self.parser.parse(packet)
-            if hdr is None:
-                self.packets_dropped += 1
-                if tel:
-                    self._tel_stage_drops.labels(self.name, "parser").inc()
-                    self._tel_latency.observe(time.perf_counter_ns() - t0)
+                    self._tel_latency.observe(_pcn() - t0)
                 return None
             i = 0
             for block in (self.ingress, self.egress):
@@ -289,17 +183,37 @@ class P4Pipeline:
                     i += 1
                     if rec:
                         trace.event("p4", "stage", stage.name)
-                    stage.process(hdr, meta)
+                    if frames is not None:
+                        frames.begin("p4.stage/" + stage.name)
+                    try:
+                        stage.process(hdr, meta)
+                    finally:
+                        if frames is not None:
+                            frames.end()
                     if meta.drop:
                         self.packets_dropped += 1
                         if rec:
                             trace.event("p4", "stage-drop", stage.name)
                         if tel:
                             self._tel_stage_drops.labels(self.name, stage.name).inc()
-                            self._tel_latency.observe(time.perf_counter_ns() - t0)
+                            self._tel_latency.observe(_pcn() - t0)
                         return None
             if tel:
-                self._tel_latency.observe(time.perf_counter_ns() - t0)
+                self._tel_latency.observe(_pcn() - t0)
             return hdr
         finally:
-            trace.end_packet()
+            if trace is not None:
+                trace.end_packet()
+            if frames is not None:
+                frames.end()
+            elif prof is not None:
+                # Block detail never nests frames inside p4.process, and
+                # packets only flow under tap/switch engine events (never
+                # inside an open cp.extract/archiver frame), so the frame
+                # stack is skipped: the cached cell is charged directly.
+                dt = _pcn() - t0
+                cell = self._proc_cell
+                cell[0] += dt
+                cell[1] += dt
+                cell[2] += 1
+                prof.nested_ns += dt

@@ -13,8 +13,8 @@ harness (docs/robustness.md):
 - :mod:`~repro.resilience.faults` — the active injector, installed
   process-globally the same way :mod:`repro.telemetry.provenance`
   installs its tracer; components bind it at construction, so the
-  disabled hot path costs one ``is None`` test
-  (``benchmarks/test_resilience_overhead.py`` enforces ≤2 %);
+  disabled hot path binds the direct bodies
+  (``benchmarks/test_disabled_cost.py`` asserts the binding);
 - :mod:`~repro.resilience.delivery` — :class:`ResilientShipper`
   (capped exponential backoff with deterministic jitter, bounded spool
   with dead-letter overflow, at-least-once redelivery, sequence-numbered

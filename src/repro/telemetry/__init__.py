@@ -5,9 +5,8 @@ package watches the instrument.  One process-global
 :class:`~repro.telemetry.metrics.MetricsRegistry` plus a
 :class:`~repro.telemetry.spans.Tracer` hang off this module, **disabled
 by default**: instrumented components test :func:`enabled` once at
-construction and cache the result, so the disabled hot path costs a
-single ``is None`` check (see ``benchmarks/test_telemetry_overhead.py``
-for the enforcement of the ≤10 % budget).
+construction and cache the result, so the disabled hot path keeps its
+plain body (``benchmarks/test_disabled_cost.py`` asserts the binding).
 
 Typical use::
 

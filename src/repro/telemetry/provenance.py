@@ -28,8 +28,8 @@ which freezes the fine window into a :class:`FrozenWindow` dump.
 Like :mod:`repro.telemetry`, the subsystem is off by default and binds
 at construction time: instrumented components cache
 ``provenance.tracer()`` (``None`` when disabled) once, so the disabled
-hot path costs a single ``is None`` test — enforced at ≤2 % by
-``benchmarks/test_trace_overhead.py``.
+hot path keeps its plain body (``benchmarks/test_disabled_cost.py``
+asserts the binding).
 
 Determinism: trace ids are assigned *densely per tracer* in first-seen
 order (not from the process-global packet uid counter), so two runs of
@@ -196,7 +196,7 @@ class ProvenanceTracer:
         self._ctx_coarse = False
         # Hot-path summary flag: is the active context recorded at all?
         # Hooks with per-stage/per-write cost branch on this one attribute
-        # instead of calling in (see P4Pipeline._process_traced).
+        # instead of calling in (see P4Pipeline._process_observed).
         self._ctx_rec = False
         # Active report context + the most recent control-read linkage.
         self._report: Optional[Tuple[int, int]] = None

@@ -1,9 +1,16 @@
-"""Event engine: ordering, cancellation, clock semantics."""
+"""Event engine: ordering, cancellation, clock semantics.
+
+The drain tests run twice: on the plain ``run``/``run_until`` loops
+(the ``sim`` fixture) and, through :func:`test_profiled_drain`, on a
+Simulator built under the phase profiler, whose drains go through the
+profiled loop instead.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.netsim.engine import Simulator
+from repro.telemetry import profiling
 
 
 def test_clock_starts_at_zero(sim):
@@ -114,6 +121,31 @@ def test_max_events_budget(sim):
     sim.run(max_events=3)
     assert sim.events_run == 3
     assert sim.pending == 7
+
+
+def test_max_events_budget_counts_only_live_events(sim):
+    hits = []
+    events = [sim.at(i, hits.append, i) for i in range(6)]
+    events[1].cancel()
+    sim.run(max_events=3)
+    assert hits == [0, 2, 3]
+    assert sim.now == 3
+    sim.run()
+    assert hits == [0, 2, 3, 4, 5]
+
+
+def test_flush_hooks_run_after_each_drain(sim):
+    log = []
+    sim.add_flush_hook(lambda: log.append(("flush", sim.now)))
+    sim.at(10, log.append, ("event", 10))
+    sim.at(30, log.append, ("event", 30))
+    sim.run_until(20)
+    assert log == [("event", 10), ("flush", 20)]
+    sim.run(max_events=1)
+    assert log[-2:] == [("event", 30), ("flush", 30)]
+    sim.run()  # an empty drain still settles the batch consumers
+    assert log[-1] == ("flush", 30)
+    assert len(log) == 5
 
 
 def test_peek_time_skips_cancelled(sim):
@@ -278,3 +310,47 @@ def test_every_cancel_after_fire_same_timestamp(sim):
     sim.at(10, timer.cancel)
     sim.run_until(100)
     assert times == [10]
+
+
+# -- the profiled drain --------------------------------------------------------
+
+DRAIN_TESTS = [
+    test_events_run_in_time_order,
+    test_equal_timestamps_run_fifo,
+    test_after_is_relative,
+    test_run_until_stops_clock_at_boundary,
+    test_run_until_includes_boundary_events,
+    test_cancel_skips_event,
+    test_cancel_is_idempotent,
+    test_run_backwards_rejected,
+    test_events_scheduled_during_run_execute,
+    test_max_events_budget,
+    test_max_events_budget_counts_only_live_events,
+    test_flush_hooks_run_after_each_drain,
+    test_args_passed_through,
+    test_every_fires_at_fixed_interval,
+    test_every_cancel_stops_future_firings,
+    test_every_cancel_from_inside_callback,
+    test_every_survives_nested_run_until,
+    test_every_cancel_during_fire_from_nested_run,
+]
+
+
+@pytest.fixture
+def profiled_sim():
+    prof = profiling.enable(mode="phase")
+    try:
+        sim = Simulator()
+    finally:
+        profiling.disable()
+    assert sim._prof is prof
+    return sim
+
+
+@pytest.mark.parametrize("case", DRAIN_TESTS,
+                         ids=lambda f: f.__name__.removeprefix("test_"))
+def test_profiled_drain(case, profiled_sim):
+    case(profiled_sim)
+    # Callbacks sharing a qualname share one cell: count each once.
+    cells = {id(c): c for c in profiled_sim._prof._fn_cells.values()}
+    assert sum(c[2] for c in cells.values()) == profiled_sim.events_run

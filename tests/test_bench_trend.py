@@ -190,8 +190,7 @@ def test_repo_committed_records_pass_against_themselves(tmp_path, capsys):
     from pathlib import Path
 
     root = Path(__file__).resolve().parent.parent
-    names = [n for n in ("substrate", "telemetry_overhead",
-                         "histogram_overhead")
+    names = [n for n in ("substrate", "disabled_cost")
              if load_committed(root, n) is not None]
     if not names:
         pytest.skip("no committed BENCH records at HEAD")
