@@ -116,8 +116,13 @@ class P4Program:
         """SHA-256 over the canonical byte serialisation of
         :meth:`state_snapshot` — equal digests mean bit-identical data-plane
         state (two replays of the same capture must agree)."""
+        return self.snapshot_digest(self.state_snapshot())
+
+    @staticmethod
+    def snapshot_digest(state: Dict[str, np.ndarray]) -> str:
+        """:meth:`state_digest` of an already-taken snapshot."""
         h = hashlib.sha256()
-        for name, arr in sorted(self.state_snapshot().items()):
+        for name, arr in sorted(state.items()):
             h.update(name.encode())
             h.update(np.ascontiguousarray(arr, dtype=np.uint64).tobytes())
         return h.hexdigest()

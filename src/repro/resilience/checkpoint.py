@@ -19,7 +19,10 @@ numpy register banks as base64 blobs, reports through a dataclass
 codec, the whole document content-digested (sha256 over the canonical
 serialisation minus the digest field) and written atomically
 (tmp + ``os.replace``) into a retained, pruned
-:class:`CheckpointStore`.  :func:`restore_control_plane` rebuilds a
+:class:`CheckpointStore`.  The canonical serialisation is
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))``;
+:func:`_canonical` produces exactly those bytes in one pass, which the
+store both hashes and writes.  :func:`restore_control_plane` rebuilds a
 freshly-constructed control plane from a document;
 :func:`restore_dataplane` additionally bulk-loads a same-geometry
 :class:`~repro.p4.runtime.P4Program` (the cold-start path the CLI
@@ -38,6 +41,7 @@ inside the functions that need it.
 from __future__ import annotations
 
 import base64
+import bisect
 import dataclasses
 import hashlib
 import json
@@ -56,13 +60,22 @@ CHECKPOINT_SCHEMA = "repro-checkpoint-v1"
 
 # -- array + document codec ----------------------------------------------------
 
+class _EncodedArray(dict):
+    """What :func:`_encode_array` returns.  Base64 text and numpy dtype
+    names never need JSON escaping, so :func:`_canonical` emits these
+    verbatim instead of running the string escaper over megabytes of
+    register blobs; a plain dict with the same keys is not one."""
+
+    __slots__ = ()
+
+
 def _encode_array(arr: np.ndarray) -> dict:
     arr = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(arr.dtype),
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+    return _EncodedArray(
+        dtype=str(arr.dtype),
+        shape=list(arr.shape),
+        data=base64.b64encode(arr.tobytes()).decode("ascii"),
+    )
 
 
 def _decode_array(doc: dict) -> np.ndarray:
@@ -71,13 +84,58 @@ def _decode_array(doc: dict) -> np.ndarray:
     return flat.reshape(doc["shape"]).copy()
 
 
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _canonical(obj, out: list) -> list:
+    """Append to ``out`` chunks that join to exactly
+    ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``.  Walks
+    str-keyed dicts itself so encoded arrays inside them skip the
+    encoder; every other value goes whole to the C encoder (a dict with
+    a non-str key too: ``json.dumps`` sorts such keys *before*
+    stringifying them)."""
+    if type(obj) is _EncodedArray:
+        out.append('{"data":"%s","dtype":"%s","shape":%s}'
+                   % (obj["data"], obj["dtype"], _dumps(obj["shape"])))
+    elif type(obj) is dict and all(type(k) is str for k in obj):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            out.append(("," if i else "") + _dumps(key) + ":")
+            _canonical(obj[key], out)
+        out.append("}")
+    else:
+        out.append(_dumps(obj))
+    return out
+
+
+def _members(doc: dict) -> list:
+    """``(key, chunks)`` for each top-level member except the digest,
+    in sorted order: each value serialised once, to hash and to write."""
+    return [(key, _canonical(doc[key], [_dumps(key) + ":"]))
+            for key in sorted(doc) if key != "digest"]
+
+
+def _chunks(members: list):
+    yield "{"
+    for i, (_, chunks) in enumerate(members):
+        if i:
+            yield ","
+        yield from chunks
+    yield "}"
+
+
+def _digest(members: list) -> str:
+    h = hashlib.sha256()
+    for chunk in _chunks(members):
+        h.update(chunk.encode())
+    return h.hexdigest()
+
+
 def content_digest(doc: dict) -> str:
     """sha256 over the canonical serialisation, excluding the digest
     field itself — what :meth:`CheckpointStore.load` verifies before
     trusting a file that may have been torn by the crash."""
-    body = {k: v for k, v in doc.items() if k != "digest"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return _digest(_members(doc))
 
 
 # -- report codec --------------------------------------------------------------
@@ -130,8 +188,9 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
     control planes against one installed manager)."""
     program = cp.runtime.program
 
+    snapshot = program.state_snapshot()
     dataplane = {name: _encode_array(arr)
-                 for name, arr in sorted(program.state_snapshot().items())}
+                 for name, arr in sorted(snapshot.items())}
 
     # Extern tallies the digest deliberately excludes (they are derived
     # bookkeeping, not register bits): needed so a cold-start restore
@@ -179,7 +238,7 @@ def capture_checkpoint(cp, dedup=None, seq: int = 0) -> dict:
         "seq": seq,
         "time_ns": int(cp.sim.now),
         "dataplane": dataplane,
-        "dataplane_digest": program.state_digest(),
+        "dataplane_digest": program.snapshot_digest(snapshot),
         "externs": externs,
         "control_plane": control_plane,
     }
@@ -385,13 +444,17 @@ class CheckpointStore:
         return [os.path.join(self.directory, n) for n in names]
 
     def write(self, doc: dict) -> str:
-        doc = dict(doc)
-        doc["digest"] = content_digest(doc)
+        """Serialise ``doc`` once, hash those chunks, and write the
+        same chunks with the digest member at its sorted position: the
+        file is the canonical ``json.dumps`` of ``doc`` plus its digest."""
+        members = _members(doc)
+        digest = _digest(members)
+        bisect.insort(members, ("digest", ['"digest":"%s"' % digest]))
         path = os.path.join(self.directory,
                             f"checkpoint-{int(doc['seq']):08d}.json")
         tmp = path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            fh.writelines(_chunks(members))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

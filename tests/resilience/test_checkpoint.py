@@ -1,7 +1,8 @@
 """Checkpoint capture/restore: array codec, content-digested store,
-retention, corrupt-file fallback, data-plane and control-plane restore
-fidelity, manager rate limiting."""
+retention, corrupt-file fallback, writer byte identity, data-plane and
+control-plane restore fidelity, manager rate limiting."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -10,10 +11,12 @@ import pytest
 from repro.core.control_plane import MonitorControlPlane
 from repro.netsim.engine import Simulator
 from repro.netsim.units import seconds
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.checkpoint import (
     CHECKPOINT_SCHEMA,
     CheckpointManager,
     CheckpointStore,
+    _canonical,
     _decode_array,
     _encode_array,
     capture_checkpoint,
@@ -21,6 +24,7 @@ from repro.resilience.checkpoint import (
     restore_control_plane,
     restore_dataplane,
 )
+from repro.resilience.delivery import ResilientShipper, SequenceDedup
 
 from tests.core.helpers import FlowScript, small_monitor
 
@@ -49,6 +53,46 @@ def test_content_digest_detects_tamper():
     assert content_digest({**doc, "digest": digest}) == digest, \
         "the digest field itself is excluded from the digest"
     assert content_digest({**doc, "payload": [1, 2, 4]}) != digest
+
+
+@pytest.mark.parametrize("obj", [
+    {"outer": {10: "a", 9: "b", 2: {"x": 1}}, "b": {1: [1, 2]}},
+    {"mixed": {10: 1, 9.5: 2, True: 3}, "strs": {"b": 1, "a": {}}},
+    {"text": "caf\u00e9 \u2603 \U0001f600", "ctl": "a\x00b\x1f\n\t\"\\"},
+    {"\u00e9t\u00e9": 1, "tab\tkey": 2, "quote\"key": 3},
+    {"floats": [0.1, 1e-7, -0.0, 1e300], "b": [True, False], "n": None},
+    {"empty_dict": {}, "empty_list": [], "nested": {"e": {}}},
+    {"report": {"data": 'a"b\\c', "dtype": "x", "shape": [1]}},
+    {"array": _encode_array(np.arange(6, dtype=np.uint32).reshape(2, 3)),
+     "none": None},
+    {},
+    [1, {"a": 2}],
+    "plain",
+])
+def test_canonical_matches_json_dumps(obj):
+    ref = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert "".join(_canonical(obj, [])) == ref
+
+
+def test_canonical_rejects_unsortable_keys_like_json_dumps():
+    obj = {"outer": {1: "a", "b": 2}}
+    with pytest.raises(TypeError):
+        json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    with pytest.raises(TypeError):
+        _canonical(obj, [])
+
+
+def test_content_digest_tracks_escaped_report_payloads():
+    # A report dict shaped like an encoded array is escaped, not
+    # emitted verbatim: tampering with its data must change the digest.
+    doc = {"schema": CHECKPOINT_SCHEMA, "seq": 0,
+           "report": {"data": 'a"b\\c', "dtype": "x", "shape": [1]}}
+    body = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    digest = content_digest(doc)
+    assert digest == hashlib.sha256(body.encode()).hexdigest()
+    assert content_digest({**doc, "digest": digest}) == digest
+    tampered = {**doc, "report": {**doc["report"], "data": 'a"b\\d'}}
+    assert content_digest(tampered) != digest
 
 
 # -- store ---------------------------------------------------------------------
@@ -112,14 +156,69 @@ def test_latest_none_when_empty(tmp_path):
     assert CheckpointStore(str(tmp_path)).latest() is None
 
 
+def _canonical_json(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _shipped_cp(sim):
+    """A started-and-stopped control plane with histograms, forensics, a
+    breaker-guarded shipper and archiver dedup books: every optional
+    section a real checkpoint carries."""
+    dedup = SequenceDedup(window=64)
+
+    def transport(doc):
+        if not dedup.is_duplicate(doc["_shipper"], doc["_seq"]):
+            dedup.record(doc["_shipper"], doc["_seq"])
+
+    shipper = ResilientShipper(sim, transport, breaker=CircuitBreaker())
+    cp, _ = _populated_cp(sim, report_sink=shipper)
+    cp.start()
+    sim.run_until(seconds(2.5))
+    cp.stop()
+    return cp, dedup
+
+
+def test_written_file_is_the_canonical_serialisation(tmp_path):
+    cp, dedup = _shipped_cp(Simulator())
+    doc = capture_checkpoint(cp, dedup=dedup, seq=7)
+    for key in ("histograms", "forensics", "shipper", "breaker", "dedup"):
+        assert key in doc, f"capture is missing the {key!r} section"
+    assert doc["dedup"]["sources"], "the shipper must have delivered"
+    # The historical formula: sha256 over the canonical json.dumps of
+    # the body, then the whole document dumped in the same form.
+    body = {k: v for k, v in doc.items() if k != "digest"}
+    ref = hashlib.sha256(_canonical_json(body).encode()).hexdigest()
+    path = CheckpointStore(str(tmp_path)).write(doc)
+    with open(path, "rb") as fh:
+        written = fh.read()
+    assert written == _canonical_json({**doc, "digest": ref}).encode()
+    assert content_digest(doc) == ref
+
+
+def test_load_accepts_a_json_dump_written_file(tmp_path):
+    cp, dedup = _shipped_cp(Simulator())
+    doc = capture_checkpoint(cp, dedup=dedup, seq=0)
+    body = {k: v for k, v in doc.items() if k != "digest"}
+    doc["digest"] = hashlib.sha256(
+        _canonical_json(body).encode()).hexdigest()
+    store = CheckpointStore(str(tmp_path))
+    with open(tmp_path / "checkpoint-00000000.json", "w",
+              encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+    loaded = store.latest()
+    assert loaded is not None
+    assert loaded["digest"] == doc["digest"]
+    assert loaded["dataplane_digest"] == doc["dataplane_digest"]
+
+
 # -- data-plane restore --------------------------------------------------------
 
 
-def _populated_cp(sim=None):
+def _populated_cp(sim=None, report_sink=None):
     """A control plane over a monitor with real register state."""
     sim = sim or Simulator()
     monitor = small_monitor(histograms_enabled=True, forensics_enabled=True)
-    cp = MonitorControlPlane(sim, monitor)
+    cp = MonitorControlPlane(sim, monitor, report_sink=report_sink)
     script = FlowScript(monitor)
     script.make_long()
     for i in range(8):
